@@ -231,7 +231,7 @@ func (j *serveJob) snapshot() jobStatus {
 type serveConfig struct {
 	root          string
 	maxActive     int // concurrently running jobs (0 = GOMAXPROCS)
-	maxJobs       int // tracked jobs before submissions get 429
+	maxJobs       int // unfinished jobs before submissions get 429
 	reqTimeout    time.Duration
 	noSync        bool
 	reg           *obs.Registry // nil = newServer builds one (the daemon is never blind)
@@ -494,9 +494,9 @@ func (s *server) submitStream(rawRequest []byte, spec jobs.StreamSpec) (*serveJo
 	if j, ok := s.jobs[id]; ok {
 		return j, http.StatusOK, nil
 	}
-	if len(s.jobs) >= s.cfg.maxJobs {
+	if s.unfinishedLocked() >= s.cfg.maxJobs {
 		return nil, http.StatusTooManyRequests,
-			fmt.Errorf("job table full (%d jobs); retry after some finish or restart with a fresh root", s.cfg.maxJobs)
+			fmt.Errorf("%d jobs unfinished; retry after some finish", s.cfg.maxJobs)
 	}
 	dir := filepath.Join(s.cfg.root, id)
 	sj, err := jobs.OpenStream(dir, spec)
@@ -535,6 +535,21 @@ func (s *server) submitStream(rawRequest []byte, spec jobs.StreamSpec) (*serveJo
 	return j, http.StatusAccepted, nil
 }
 
+// unfinishedLocked counts the tracked jobs that have not finished; only
+// they count against maxJobs, so finished results stay fetchable for the
+// daemon's lifetime without filling the table. The caller holds s.mu.
+func (s *server) unfinishedLocked() int {
+	n := 0
+	for _, j := range s.jobs {
+		select {
+		case <-j.done:
+		default:
+			n++
+		}
+	}
+	return n
+}
+
 // finishStream seals a stream job and flips its status; the caller must
 // hold j.streamMu or otherwise have exclusive use of the job.
 func (s *server) finishStream(j *serveJob) error {
@@ -564,9 +579,9 @@ func (s *server) submit(rawRequest []byte, spec jobs.Spec) (*serveJob, int, erro
 	if j, ok := s.jobs[id]; ok {
 		return j, http.StatusOK, nil
 	}
-	if len(s.jobs) >= s.cfg.maxJobs {
+	if s.unfinishedLocked() >= s.cfg.maxJobs {
 		return nil, http.StatusTooManyRequests,
-			fmt.Errorf("job table full (%d jobs); retry after some finish or restart with a fresh root", s.cfg.maxJobs)
+			fmt.Errorf("%d jobs unfinished; retry after some finish", s.cfg.maxJobs)
 	}
 	dir := filepath.Join(s.cfg.root, id)
 	if err := s.cfg.fs().MkdirAll(dir, 0o755); err != nil {
@@ -1079,7 +1094,7 @@ func cmdServe(args []string) int {
 	addr := fs.String("addr", "127.0.0.1:8947", "listen address")
 	dir := fs.String("dir", "", "job root directory (journals, results; required)")
 	maxActive := fs.Int("max-active", 0, "concurrently running jobs (0 = one per CPU)")
-	maxJobs := fs.Int("max-jobs", 64, "tracked jobs before submissions are refused with 429")
+	maxJobs := fs.Int("max-jobs", 64, "unfinished jobs before submissions are refused with 429")
 	reqTimeout := fs.Duration("request-timeout", 10*time.Second, "per-request handler deadline")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "deadline for in-flight HTTP requests on shutdown")
 	noSync := fs.Bool("no-sync", false, "skip the per-record journal fsync (faster, loses tail grades on a crash)")

@@ -403,6 +403,112 @@ func TestServeLifecycle(t *testing.T) {
 	resp.Body.Close()
 }
 
+// submitJob posts a submission body and decodes the response.
+func submitJob(t *testing.T, ts *httptest.Server, body []byte) (jobStatus, int) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st jobStatus
+	json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	return st, resp.StatusCode
+}
+
+// TestServeMaxJobsCountsUnfinished pins -max-jobs to unfinished jobs:
+// finished jobs stay fetchable but free their slot, before and after a
+// restart re-registers them, while unfinished jobs (stream jobs awaiting
+// their upload) at the limit still get 429.
+func TestServeMaxJobsCountsUnfinished(t *testing.T) {
+	root := t.TempDir()
+	cfg := serveConfig{root: root, maxActive: 1, maxJobs: 2, reqTimeout: time.Minute, noSync: true}
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	var done []string
+	for i := 0; i < 4; i++ {
+		body, _ := serveFixtureSeed(t, uint64(100+i))
+		st, code := submitJob(t, ts, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("sequential submit %d: status %d, want 202", i, code)
+		}
+		if final := pollJob(t, ts, st.ID); final.Status != "done" {
+			t.Fatalf("job %d finished as %q", i, final.Status)
+		}
+		done = append(done, st.ID)
+	}
+	for _, id := range done {
+		resp, err := http.Get(ts.URL + "/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("result of finished job %s: status %d, want 200", id, resp.StatusCode)
+		}
+	}
+
+	// Two stream jobs stay unfinished until their upload ends: a third
+	// submission is refused.
+	streamBody := func(seed int64) []byte {
+		key, err := wm.NewKey(workloads.CalcSum(10, seed), demoCipher(), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc bytes.Buffer
+		if err := wm.SaveKey(&doc, key); err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(serveRequest{Keys: []string{doc.String()}, Stream: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	var open []string
+	for i := 0; i < 2; i++ {
+		st, code := submitJob(t, ts, streamBody(int64(20+i)))
+		if code != http.StatusAccepted || st.Status != "streaming" {
+			t.Fatalf("stream submit %d: status %d %q, want 202 streaming", i, code, st.Status)
+		}
+		open = append(open, st.ID)
+	}
+	body, _ := serveFixtureSeed(t, 200)
+	if _, code := submitJob(t, ts, body); code != http.StatusTooManyRequests {
+		t.Fatalf("submit with 2 unfinished jobs: status %d, want 429", code)
+	}
+	// Finishing one stream frees its slot.
+	if st, code := postChunk(t, ts, open[0], streamChunkRequest{Offset: 0, Bits: "0101", Final: true}); code != http.StatusOK || st.Status != "done" {
+		t.Fatalf("final chunk: status %d %q", code, st.Status)
+	}
+	st, code := submitJob(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after a stream finished: status %d, want 202", code)
+	}
+	pollJob(t, ts, st.ID)
+	ts.Close()
+	srv.drain()
+
+	// A restart re-registers the six finished jobs and the open stream:
+	// one slot is still free.
+	srv2, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(srv2.handler())
+	defer ts2.Close()
+	defer srv2.drain()
+	if _, code := submitJob(t, ts2, streamBody(30)); code != http.StatusAccepted {
+		t.Fatalf("submit after restart: status %d, want 202", code)
+	}
+	if _, code := submitJob(t, ts2, streamBody(31)); code != http.StatusTooManyRequests {
+		t.Fatalf("submit after restart with 2 unfinished jobs: status %d, want 429", code)
+	}
+}
+
 // TestServeRestartResume restarts the daemon over an existing job root:
 // finished jobs stay fetchable, and a job whose result was lost (here:
 // deleted, the same state as a crash between journal and manifest)

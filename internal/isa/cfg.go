@@ -200,17 +200,13 @@ func CollectProfile(u *Unit, input []int64, stepLimit int64) (map[int]int64, err
 		return nil, err
 	}
 	cpu := NewCPU(img, input)
-	cpu.Profile = make(map[uint32]int64)
+	cpu.profile = make([]int64, len(img.Text))
 	if _, err := cpu.Run(stepLimit); err != nil {
 		return nil, err
 	}
-	addrToIdx := make(map[uint32]int, len(img.InstrAddrs))
+	counts := make(map[int]int64)
 	for i, a := range img.InstrAddrs {
-		addrToIdx[a] = i
-	}
-	counts := make(map[int]int64, len(cpu.Profile))
-	for addr, n := range cpu.Profile {
-		if i, ok := addrToIdx[addr]; ok {
+		if n := cpu.profile[a-img.TextBase]; n != 0 {
 			counts[i] = n
 		}
 	}

@@ -4,6 +4,8 @@ import "testing"
 
 // FuzzDecodeAt feeds arbitrary bytes to the decoder: it must either
 // decode or error, never panic, and decoding must stay within the text.
+// The CPU's predecoded table must return the same decoding or error, on
+// first use and from the table.
 func FuzzDecodeAt(f *testing.F) {
 	img, err := Assemble(buildCountdown(3))
 	if err != nil {
@@ -14,6 +16,13 @@ func FuzzDecodeAt(f *testing.F) {
 	f.Add([]byte{byte(OJmp), 0, 0, 0, 0}, uint32(0))
 	f.Fuzz(func(t *testing.T, text []byte, off uint32) {
 		d, err := DecodeAt(text, TextBase, TextBase+off)
+		cpu := NewCPU(&Image{Text: text, TextBase: TextBase}, nil)
+		cpu.EIP = TextBase + off
+		for pass := 0; pass < 2; pass++ {
+			if p, perr := cpu.Peek(); p != d || errText(perr) != errText(err) {
+				t.Fatalf("Peek = %+v, %v; DecodeAt = %+v, %v", p, perr, d, err)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -41,8 +50,10 @@ func FuzzParseAsm(f *testing.F) {
 	})
 }
 
-// FuzzCPUOnRandomText loads arbitrary bytes as a text section and runs the
-// CPU: it must halt, fault, or hit the step limit — never panic.
+// FuzzCPUOnRandomText loads arbitrary bytes as a text section, and a
+// copy of them as the data section, and runs the CPU in lock-step with the
+// reference stepper: it must halt, fault, or hit the step limit — never
+// panic — and after every step both must agree on the machine state.
 func FuzzCPUOnRandomText(f *testing.F) {
 	img, err := Assemble(buildCountdown(2))
 	if err != nil {
@@ -51,17 +62,24 @@ func FuzzCPUOnRandomText(f *testing.F) {
 	f.Add(img.Text)
 	f.Add([]byte{byte(OHlt)})
 	f.Add([]byte{byte(ORet), 0xab, 0x12})
+	for _, addr := range edgeAddrs() {
+		img, err := Assemble(memProbe(addr))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img.Text)
+	}
 	f.Fuzz(func(t *testing.T, text []byte) {
 		if len(text) == 0 {
 			return
 		}
 		fake := &Image{
 			Text:     append([]byte(nil), text...),
+			Data:     append([]byte(nil), text...),
 			TextBase: TextBase,
 			DataBase: TextBase + alignUp(uint32(len(text)), dataAlign),
 			Entry:    TextBase,
 		}
-		cpu := NewCPU(fake, []int64{1, 2})
-		_, _ = cpu.Run(10_000) // result or clean error; panics fail the fuzz
+		lockStep(t, fake, []int64{1, 2}, 10_000)
 	})
 }

@@ -11,7 +11,7 @@ import (
 
 // ctxCheckSteps is how often the single-stepping tracers poll their
 // context: every few thousand machine steps, cheap enough to be invisible
-// against the decode+step cost yet prompt enough (well under a
+// against the step cost yet prompt enough (well under a
 // millisecond of work) that cancellation and deadlines feel immediate.
 const ctxCheckSteps = 4096
 
@@ -81,7 +81,7 @@ func TraceMisReturnsContext(ctx context.Context, img *isa.Image, input []int64, 
 				return events, fmt.Errorf("nativewm: trace cancelled after %d steps: %w", cpu.Steps, err)
 			}
 		}
-		d, err := isa.DecodeAt(img.Text, img.TextBase, cpu.EIP)
+		d, err := cpu.Peek()
 		if err != nil {
 			return events, err
 		}
@@ -149,7 +149,7 @@ func ExtractContext(ctx context.Context, img *isa.Image, input []int64, mark Mar
 		if cpu.EIP == mark.Begin {
 			tracking = true
 		}
-		d, err := isa.DecodeAt(img.Text, img.TextBase, cpu.EIP)
+		d, err := cpu.Peek()
 		if err != nil {
 			return nil, fmt.Errorf("nativewm: extraction trace faulted: %w", err)
 		}

@@ -81,13 +81,22 @@ func Build(keys []uint32) (*Func, error) {
 	return nil, errors.New("perfecthash: construction failed (pathological key set)")
 }
 
+// tryBuild runs one hash-and-displace attempt. Buckets hold each key's
+// second-level hash, computed once per attempt, and the displacement
+// search reuses one slot buffer: a bucket that cannot be placed scans all
+// maxDisplacement values, so the loop body must not allocate or rehash.
 func tryBuild(keys []uint32, nb, seed1 uint32) (*Func, bool) {
 	n := uint32(len(keys))
 	seed2 := seed1*0x9e3779b1 + 0x7f4a7c15
 	buckets := make([][]uint32, nb)
+	maxLen := 0
 	for _, k := range keys {
 		b := mix(k, seed1) % nb
-		buckets[b] = append(buckets[b], k)
+		buckets[b] = append(buckets[b], mix(k, seed2))
+		maxLen = max(maxLen, len(buckets[b]))
+	}
+	if doomed(buckets, n) {
+		return nil, false
 	}
 	order := make([]int, nb)
 	for i := range order {
@@ -101,6 +110,7 @@ func tryBuild(keys []uint32, nb, seed1 uint32) (*Func, bool) {
 	})
 	used := make([]bool, n)
 	disp := make([]uint16, nb)
+	slots := make([]uint32, 0, maxLen)
 	for _, bi := range order {
 		bucket := buckets[bi]
 		if len(bucket) == 0 {
@@ -109,9 +119,9 @@ func tryBuild(keys []uint32, nb, seed1 uint32) (*Func, bool) {
 		placed := false
 	searchLoop:
 		for d := 0; d < maxDisplacement; d++ {
-			slots := make([]uint32, 0, len(bucket))
-			for _, k := range bucket {
-				s := (mix(k, seed2) + uint32(d)) % n
+			slots = slots[:0]
+			for _, h := range bucket {
+				s := (h + uint32(d)) % n
 				if used[s] {
 					continue searchLoop
 				}
@@ -134,6 +144,30 @@ func tryBuild(keys []uint32, nb, seed1 uint32) (*Func, bool) {
 		}
 	}
 	return &Func{Seed1: seed1, Seed2: seed2, Displacements: disp, N: n}, true
+}
+
+// doomed reports a bucket holding two keys whose second-level hashes are
+// congruent mod n and do not wrap around 2^32 within the displacement
+// range: they land on the same slot at every displacement, so the search
+// would scan all maxDisplacement values and fail. Most failed attempts
+// fail this way; answering up front makes such an attempt cost about as
+// much as bucketing the keys, so Build's cost barely depends on how many
+// attempts a key set needs.
+func doomed(buckets [][]uint32, n uint32) bool {
+	const noWrap = 1<<32 - maxDisplacement
+	for _, bucket := range buckets {
+		for i, h := range bucket {
+			if h > noWrap {
+				continue
+			}
+			for _, g := range bucket[:i] {
+				if g <= noWrap && g%n == h%n {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // Verify checks that f is a bijection from keys onto [0, N); it is used by
